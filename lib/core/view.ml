@@ -180,26 +180,25 @@ let note_span t loads ~whole_function_load ~region_lo ~region_hi (s : Span.t) =
     go s.Span.lo
   end
 
+let ud2_page =
+  Bytes.init Phys.page_size (fun i ->
+      Char.chr
+        (if i land 1 = 0 then Fc_isa.Insn.ud2_first_byte
+         else Fc_isa.Insn.ud2_second_byte))
+
 (* Build one page's final contents in a host buffer: phase-aligned UD2
    fill, then the covered parts of the load set overlaid from the
    original code.  The interval index makes the overlay O(log n) per
    page plus the covered bytes. *)
 let page_contents t loads gpa_page =
-  let buf = Bytes.create Phys.page_size in
-  for i = 0 to Phys.page_size - 1 do
-    Bytes.set_uint8 buf i
-      (if i land 1 = 0 then Fc_isa.Insn.ud2_first_byte
-       else Fc_isa.Insn.ud2_second_byte)
-  done;
+  let buf = Bytes.copy ud2_page in
   let gva_lo = Layout.gpa_to_gva (gpa_page * Phys.page_size) in
   let window = Span.make ~lo:gva_lo ~hi:(gva_lo + Phys.page_size) in
+  let os = Hyp.os t.hyp in
   List.iter
     (fun (s : Span.t) ->
-      for gva = s.Span.lo to s.Span.hi - 1 do
-        match Hyp.read_original_code t.hyp gva with
-        | Some b -> Bytes.set_uint8 buf (gva - gva_lo) b
-        | None -> ()
-      done)
+      Os.read_guest_into os ~gva:s.Span.lo ~len:(s.Span.hi - s.Span.lo) buf
+        ~off:(s.Span.lo - gva_lo))
     (Range_list.covered_spans loads Segment.Base_kernel window);
   buf
 

@@ -153,13 +153,12 @@ let sample_stack t ~eip ~ebp ?esp ?(max_depth = 64) () =
 let stack_frames t ~eip ~ebp ?esp ?max_depth () =
   (stack_walk t ~eip ~ebp ?esp ?max_depth ()).frames
 
-let refresh_symbols t =
+let build_symbols t mods =
   let syms = Symbols.create () in
   (* System.map: the base kernel's function symbols. *)
   Symbols.add_unit syms (Image.unit_image (Os.image t.os));
   (* VMI-visible modules: if the name matches a known distro module, we
      have its .ko symbols; assemble its layout at the observed base. *)
-  let mods = module_list t in
   List.iter
     (fun (name, base, _size) ->
       if List.mem_assoc name Catalog.module_functions then
@@ -169,6 +168,14 @@ let refresh_symbols t =
     mods;
   t.visible_modules <- mods;
   t.symbols <- syms
+
+(* The table is a function of the VMI module list alone (the base kernel
+   never changes), so it is rebuilt only when that list moved — a hidden
+   or newly loaded module — and otherwise reused as is.  The list itself
+   is re-read every time: it is the guest memory the VMI view inspects. *)
+let refresh_symbols t =
+  let mods = module_list t in
+  if mods <> t.visible_modules then build_symbols t mods
 
 let symbols t = t.symbols
 let addr_of_symbol t name = Symbols.addr_of t.symbols name
@@ -262,7 +269,7 @@ let attach os =
   Metrics.reset t.cycles_charged;
   Metrics.reset_histogram t.charge_cycles;
   Metrics.reset_family t.app_cycles;
-  refresh_symbols t;
+  build_symbols t (module_list t);
   Os.set_exit_handler os (fun _os regs exit -> dispatch_exit t regs exit);
   t
 
@@ -319,6 +326,6 @@ let restore ~os ~table_of (z : frozen) =
   in
   (* no counter resets here: the codec applies its metrics section after
      every layer is restored, and a fresh registry already reads zero *)
-  refresh_symbols t;
+  build_symbols t (module_list t);
   Os.set_exit_handler os (fun _os regs exit -> dispatch_exit t regs exit);
   t

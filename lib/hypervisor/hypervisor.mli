@@ -124,7 +124,10 @@ val refresh_symbols : t -> unit
 (** Rebuild the symbol registry: base kernel (System.map) plus per-function
     symbols for VMI-visible modules whose names match known distro modules.
     Modules hidden from the guest list disappear — their frames render as
-    [<UNKNOWN>], as in Fig. 5. *)
+    [<UNKNOWN>], as in Fig. 5.  The module list is re-read through VMI on
+    every call, but the registry is rebuilt only when that list (name,
+    base, size) differs from the one it was last built from; otherwise
+    {!symbols} keeps returning the same table. *)
 
 val symbols : t -> Fc_kernel.Symbols.t
 

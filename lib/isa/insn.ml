@@ -59,52 +59,122 @@ let encode_into buf off i =
 
 type decode_error = Unknown_opcode of int | Truncated
 
+type kind =
+  | K_push_ebp
+  | K_mov_ebp_esp
+  | K_nop
+  | K_ud2
+  | K_call_rel
+  | K_call_indirect
+  | K_ret
+  | K_leave
+  | K_alu
+  | K_or_mem
+  | K_jmp_rel
+  | K_jcc_rel
+  | K_yield
+  | K_iret
+  | K_int_sw
+  | K_unknown
+  | K_truncated
+
+type scratch = { mutable len : int; mutable arg : int }
+
+let scratch () = { len = 0; arg = 0 }
+
+(* Operand readers: each reads its bytes in address order and stops at
+   the first unreadable one, so a side-effecting [get] (a TLB-counted
+   fetch) sees exactly the reads the instruction needs. *)
+let second ~get addr s ~expect k =
+  let b1 = get (addr + 1) in
+  if b1 < 0 then K_truncated
+  else if b1 = expect then begin
+    s.len <- 2;
+    k
+  end
+  else begin
+    s.arg <- b1;
+    K_unknown
+  end
+
+let imm8 ~get addr s ~signed k =
+  let b1 = get (addr + 1) in
+  if b1 < 0 then K_truncated
+  else begin
+    s.len <- 2;
+    s.arg <- (if signed then of_signed 8 b1 else b1);
+    k
+  end
+
+let rel32 ~get addr s =
+  let b1 = get (addr + 1) in
+  if b1 < 0 then K_truncated
+  else
+    let b2 = get (addr + 2) in
+    if b2 < 0 then K_truncated
+    else
+      let b3 = get (addr + 3) in
+      if b3 < 0 then K_truncated
+      else
+        let b4 = get (addr + 4) in
+        if b4 < 0 then K_truncated
+        else begin
+          s.len <- 5;
+          s.arg <- of_signed 32 (b1 lor (b2 lsl 8) lor (b3 lsl 16) lor (b4 lsl 24));
+          K_call_rel
+        end
+
+(* The opcode table: the only place bytes become instructions. *)
+let decode_kind ~get addr s =
+  s.len <- 1;
+  s.arg <- 0;
+  match get addr with
+  | 0x55 -> K_push_ebp
+  | 0x90 -> K_nop
+  | 0xc3 -> K_ret
+  | 0xc9 -> K_leave
+  | 0xcf -> K_iret
+  | 0x89 -> second ~get addr s ~expect:0xe5 K_mov_ebp_esp
+  | 0x0f -> second ~get addr s ~expect:0x0b K_ud2
+  | 0xff -> second ~get addr s ~expect:0xd0 K_call_indirect
+  | 0xe8 -> rel32 ~get addr s
+  | 0x01 -> imm8 ~get addr s ~signed:false K_alu
+  | 0x0b -> imm8 ~get addr s ~signed:false K_or_mem
+  | 0xeb -> imm8 ~get addr s ~signed:true K_jmp_rel
+  | 0x75 -> imm8 ~get addr s ~signed:true K_jcc_rel
+  | 0xf4 -> imm8 ~get addr s ~signed:false K_yield
+  | 0xcd -> imm8 ~get addr s ~signed:false K_int_sw
+  | b when b < 0 -> K_truncated
+  | b ->
+      s.arg <- b;
+      K_unknown
+
+let of_kind k arg =
+  match k with
+  | K_push_ebp -> Push_ebp
+  | K_mov_ebp_esp -> Mov_ebp_esp
+  | K_nop -> Nop
+  | K_ud2 -> Ud2
+  | K_call_rel -> Call_rel arg
+  | K_call_indirect -> Call_indirect
+  | K_ret -> Ret
+  | K_leave -> Leave
+  | K_alu -> Alu arg
+  | K_or_mem -> Or_mem arg
+  | K_jmp_rel -> Jmp_rel arg
+  | K_jcc_rel -> Jcc_rel arg
+  | K_yield -> Yield arg
+  | K_iret -> Iret
+  | K_int_sw -> Int_sw arg
+  | K_unknown | K_truncated -> invalid_arg "Insn.of_kind: not an instruction"
+
 let decode ~read addr =
-  let ( let* ) x f = match x with Some v -> f v | None -> Error Truncated in
-  let* b0 = read addr in
-  match b0 with
-  | 0x55 -> Ok (Push_ebp, 1)
-  | 0x90 -> Ok (Nop, 1)
-  | 0xc3 -> Ok (Ret, 1)
-  | 0xc9 -> Ok (Leave, 1)
-  | 0xcf -> Ok (Iret, 1)
-  | 0x89 -> (
-      let* b1 = read (addr + 1) in
-      match b1 with 0xe5 -> Ok (Mov_ebp_esp, 2) | b -> Error (Unknown_opcode b))
-  | 0x0f -> (
-      let* b1 = read (addr + 1) in
-      match b1 with 0x0b -> Ok (Ud2, 2) | b -> Error (Unknown_opcode b))
-  | 0xff -> (
-      let* b1 = read (addr + 1) in
-      match b1 with
-      | 0xd0 -> Ok (Call_indirect, 2)
-      | b -> Error (Unknown_opcode b))
-  | 0xe8 ->
-      let* b1 = read (addr + 1) in
-      let* b2 = read (addr + 2) in
-      let* b3 = read (addr + 3) in
-      let* b4 = read (addr + 4) in
-      let u = b1 lor (b2 lsl 8) lor (b3 lsl 16) lor (b4 lsl 24) in
-      Ok (Call_rel (of_signed 32 u), 5)
-  | 0x01 ->
-      let* b1 = read (addr + 1) in
-      Ok (Alu b1, 2)
-  | 0x0b ->
-      let* b1 = read (addr + 1) in
-      Ok (Or_mem b1, 2)
-  | 0xeb ->
-      let* b1 = read (addr + 1) in
-      Ok (Jmp_rel (of_signed 8 b1), 2)
-  | 0x75 ->
-      let* b1 = read (addr + 1) in
-      Ok (Jcc_rel (of_signed 8 b1), 2)
-  | 0xf4 ->
-      let* b1 = read (addr + 1) in
-      Ok (Yield b1, 2)
-  | 0xcd ->
-      let* b1 = read (addr + 1) in
-      Ok (Int_sw b1, 2)
-  | b -> Error (Unknown_opcode b)
+  let s = scratch () in
+  let get a = match read a with Some b -> b | None -> -1 in
+  match decode_kind ~get addr s with
+  | K_truncated -> Error Truncated
+  | K_unknown -> Error (Unknown_opcode s.arg)
+  | k -> Ok (of_kind k s.arg, s.len)
 
 let is_call = function Call_rel _ | Call_indirect -> true | _ -> false
 let is_terminator = function Ret | Iret | Jmp_rel _ -> true | _ -> false

@@ -61,6 +61,46 @@ val decode : read:(int -> int option) -> int -> (t * int, decode_error) result
     the byte at [a] or [None] if unmapped.  On success returns the
     instruction and its length. *)
 
+(** {2 Allocation-free decoding}
+
+    The opcode table behind {!decode}, for callers that decode many
+    instructions in a row (the superblock builder): the instruction comes
+    back as a constant constructor and its length and operand land in a
+    caller-owned {!scratch}, so no option, tuple or instruction value is
+    allocated per decode. *)
+
+type kind =
+  | K_push_ebp
+  | K_mov_ebp_esp
+  | K_nop
+  | K_ud2
+  | K_call_rel
+  | K_call_indirect
+  | K_ret
+  | K_leave
+  | K_alu
+  | K_or_mem
+  | K_jmp_rel
+  | K_jcc_rel
+  | K_yield
+  | K_iret
+  | K_int_sw
+  | K_unknown  (** {!Unknown_opcode}: [arg] is the offending byte *)
+  | K_truncated  (** {!Truncated} *)
+
+type scratch = { mutable len : int; mutable arg : int }
+(** [len] is the encoded length; [arg] is the instruction's operand —
+    the sign-extended displacement of a relative call or jump, the
+    immediate byte of [Alu]/[Or_mem]/[Yield]/[Int_sw], [0] otherwise. *)
+
+val scratch : unit -> scratch
+
+val decode_kind : get:(int -> int) -> int -> scratch -> kind
+(** [decode_kind ~get addr s] decodes the instruction at [addr]; [get a]
+    returns the byte at [a], or a negative value if it is unreadable.
+    Bytes are read in address order and only as far as the instruction
+    needs, exactly as {!decode} reads them. *)
+
 val is_call : t -> bool
 val is_terminator : t -> bool
 (** [Ret], [Iret] or an unconditional [Jmp_rel]: ends a basic block. *)

@@ -5,6 +5,12 @@ type t = {
   by_name : (string, Asm.placed) Hashtbl.t;
   (* function starts sorted by address, for binary search *)
   starts : Asm.placed array;
+  modules : ((string * int) * Asm.unit_image) list Atomic.t;
+      (* catalog modules assembled so far, by (name, load base): every
+         guest booted from this image loads the same modules at the same
+         bases, so each is assembled once.  The list is immutable and
+         published by compare-and-set, which is safe for guests booting
+         on several domains at once. *)
 }
 
 let build () =
@@ -17,7 +23,7 @@ let build () =
         (fun (p : Asm.placed) -> Hashtbl.replace by_name p.pname p)
         unit_image.functions;
       let starts = Array.of_list unit_image.functions in
-      Ok { unit_image; by_name; starts }
+      Ok { unit_image; by_name; starts; modules = Atomic.make [] }
 
 let build_exn () =
   match build () with
@@ -61,10 +67,25 @@ let assemble_module_fns t ~base fns =
   let specs = List.map Kfunc.to_spec fns in
   Asm.assemble ~base ~resolve:(addr_of t) specs
 
+let rec publish t key u =
+  let cur = Atomic.get t.modules in
+  match List.assoc_opt key cur with
+  | Some winner -> winner
+  | None ->
+      if Atomic.compare_and_set t.modules cur ((key, u) :: cur) then u
+      else publish t key u
+
 let assemble_module t ~name ~base =
   match List.assoc_opt name Catalog.module_functions with
   | None -> Error ("unknown module: " ^ name)
-  | Some fns -> assemble_module_fns t ~base fns
+  | Some fns -> (
+      let key = (name, base) in
+      match List.assoc_opt key (Atomic.get t.modules) with
+      | Some u -> Ok u
+      | None -> (
+          match assemble_module_fns t ~base fns with
+          | Ok u -> Ok (publish t key u)
+          | Error _ as e -> e))
 
 let false_prologues t =
   let read = read_byte t in

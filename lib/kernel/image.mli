@@ -35,7 +35,10 @@ val assemble_module :
   t -> name:string -> base:int -> (Fc_isa.Asm.unit_image, string) result
 (** Assemble one of {!Catalog.module_functions} (or any registered
     function list via [assemble_module_fns]) at [base], resolving
-    unresolved calls against the base kernel symbol table. *)
+    unresolved calls against the base kernel symbol table.  Each
+    (name, base) pair is assembled once per image and the same unit is
+    returned from then on, on every domain; callers must not write into
+    its [code]. *)
 
 val assemble_module_fns :
   t -> base:int -> Kfunc.t list -> (Fc_isa.Asm.unit_image, string) result

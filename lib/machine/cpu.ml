@@ -111,6 +111,100 @@ type sblock = {
   mutable sb_next : sblock option;  (* chained block at sb_exit *)
 }
 
+(* ---------------- superblock decoding ---------------- *)
+
+let block_cap = 64
+
+type block_scratch = {
+  bs_ops : sop array;
+  bs_pcs : int array;
+  bs_lens : int array;
+  bs_args : int array;
+  bs_steps : int array;
+  mutable bs_count : int;
+  mutable bs_exit : int;
+  bs_insn : Insn.scratch;
+}
+
+let block_scratch () =
+  {
+    bs_ops = Array.make block_cap S_step;
+    bs_pcs = Array.make block_cap 0;
+    bs_lens = Array.make block_cap 0;
+    bs_args = Array.make block_cap 0;
+    bs_steps = Array.make block_cap 0;
+    bs_count = 0;
+    bs_exit = -1;
+    bs_insn = Insn.scratch ();
+  }
+
+let sop_of_kind = function
+  | Insn.K_push_ebp -> S_push_ebp
+  | Insn.K_mov_ebp_esp -> S_mov_ebp_esp
+  | Insn.K_leave -> S_leave
+  | Insn.K_nop | Insn.K_alu | Insn.K_or_mem | Insn.K_int_sw -> S_step
+  | Insn.K_jcc_rel -> S_jcc
+  | Insn.K_jmp_rel -> S_jmp
+  | Insn.K_call_rel -> S_call
+  | Insn.K_call_indirect -> S_call_ind
+  | Insn.K_ret | Insn.K_iret -> S_ret
+  | Insn.K_yield -> S_yield
+  | Insn.K_ud2 -> S_ud2
+  | Insn.K_unknown | Insn.K_truncated -> invalid_arg "Cpu.sop_of_kind"
+
+(* The block ends before the page tail (where an instruction could
+   straddle pages), before any trap address — the first op included, so
+   the executor's entry-only trap probe is exact — at the op cap, before
+   undecodable bytes (the classic path raises Invalid_opcode there), and
+   after any op that leaves straight-line flow.  Jcc continues in-block:
+   its fall-through is the next op, its taken target exits. *)
+let decode_block s bytes ~base ~pc ~is_trap =
+  let size = Bytes.length bytes in
+  let get a =
+    let o = a - base in
+    if o >= 0 && o < size then Bytes.get_uint8 bytes o else -1
+  in
+  let ins = s.bs_insn in
+  let n = ref 0 and a = ref pc and go = ref true in
+  s.bs_exit <- -1;
+  while !go do
+    let at = !a in
+    if !n >= block_cap || at - base > size - 6 || is_trap at then begin
+      s.bs_exit <- at;
+      go := false
+    end
+    else
+      match Insn.decode_kind ~get at ins with
+      | Insn.K_unknown | Insn.K_truncated ->
+          s.bs_exit <- at;
+          go := false
+      | k ->
+          let i = !n and next = at + ins.Insn.len in
+          let op = sop_of_kind k in
+          s.bs_ops.(i) <- op;
+          s.bs_pcs.(i) <- at;
+          s.bs_lens.(i) <- ins.Insn.len;
+          s.bs_args.(i) <-
+            (match op with
+            | S_jcc | S_jmp | S_call -> next + ins.Insn.arg
+            | S_yield -> ins.Insn.arg
+            | _ -> 0);
+          n := i + 1;
+          (match op with
+          | S_jmp | S_call ->
+              s.bs_exit <- s.bs_args.(i);
+              go := false
+          | S_call_ind | S_ret | S_yield | S_ud2 -> go := false
+          | S_step | S_push_ebp | S_mov_ebp_esp | S_leave | S_jcc -> a := next)
+  done;
+  let n = !n in
+  s.bs_count <- n;
+  let run = ref 0 in
+  for i = n - 1 downto 0 do
+    run := (match s.bs_ops.(i) with S_step -> !run + 1 | _ -> 0);
+    s.bs_steps.(i) <- !run
+  done
+
 let run ~decode ~read_u32 ~write_u32 ~is_trap ~trace ?events
     ?(branch = fun _ -> true) ~cycles ?instrs ~dispatch ?skip_bp ?sblocks
     ?(max_instr = 2_000_000) regs =

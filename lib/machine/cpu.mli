@@ -115,6 +115,39 @@ type sblock = {
   mutable sb_next : sblock option;  (** chained block at [sb_exit] *)
 }
 
+(** {2 Superblock decoding}
+
+    The builder's decode loop, run straight over a frame's bytes into
+    reusable scratch arrays: per instruction it allocates nothing.  The
+    owner copies the first [bs_count] entries into a {!sblock}. *)
+
+val block_cap : int
+(** Most ops in one block (64). *)
+
+type block_scratch = {
+  bs_ops : sop array;
+  bs_pcs : int array;
+  bs_lens : int array;
+  bs_args : int array;
+  bs_steps : int array;
+  mutable bs_count : int;  (** ops decoded; [0] = no block at this pc *)
+  mutable bs_exit : int;  (** the block's [sb_exit] *)
+  bs_insn : Fc_isa.Insn.scratch;
+}
+
+val block_scratch : unit -> block_scratch
+
+val decode_block :
+  block_scratch -> Bytes.t -> base:int -> pc:int -> is_trap:(int -> bool) -> unit
+(** [decode_block s bytes ~base ~pc ~is_trap] decodes the block starting
+    at guest address [pc] from [bytes], the frame whose first byte sits at
+    guest address [base].  The block stops before the frame's last five
+    bytes (an instruction there could straddle frames), before any
+    address [is_trap] accepts — [pc] itself included —, before
+    undecodable bytes, after {!block_cap} ops, and after any op that ends
+    straight-line flow ([S_jcc] does not: its fall-through stays
+    in-block). *)
+
 val run :
   decode:(int -> decode_result) ->
   read_u32:(int -> int option) ->

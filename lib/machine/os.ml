@@ -7,8 +7,6 @@ module Image = Fc_kernel.Image
 module Syscalls = Fc_kernel.Syscalls
 module Irq_paths = Fc_kernel.Irq_paths
 module Asm = Fc_isa.Asm
-module Insn = Fc_isa.Insn
-module Scan = Fc_isa.Scan
 
 type clocksource = Irq_paths.clocksource
 
@@ -64,7 +62,10 @@ type irq_timer = {
 
 type decode_line = {
   mutable line_version : int;
-  line : Cpu.decode_result option array; (* per byte offset in the frame *)
+  mutable line : Cpu.decode_result option array;
+      (* per byte offset in the frame; allocated by the first decode
+         cached in it — with superblocks on, most fetched frames never
+         decode one instruction outside a block *)
 }
 
 (* One virtual CPU: its own EPT (so FACE-CHANGE can switch views
@@ -176,6 +177,7 @@ type t = {
   mutable next_module_base : int;
   mutable timers : irq_timer list;
   decode_cache : (int, decode_line) Hashtbl.t; (* host frame -> line *)
+  sb_scratch : Cpu.block_scratch; (* the block builder's decode buffers *)
   sb_store : (int, (int, Cpu.sblock) Hashtbl.t) Hashtbl.t;
       (* host frame -> (page offset -> superblock): the retention tier
          behind the per-vCPU block cache.  Blocks here outlive view
@@ -349,11 +351,11 @@ let decode_line_for t frame ~version =
   match Hashtbl.find_opt t.decode_cache frame with
   | Some ln when ln.line_version = version -> ln
   | Some ln ->
-      Array.fill ln.line 0 (Array.length ln.line) None;
+      ln.line <- [||];
       ln.line_version <- version;
       ln
   | None ->
-      let ln = { line_version = version; line = Array.make Layout.page_size None } in
+      let ln = { line_version = version; line = [||] } in
       Hashtbl.replace t.decode_cache frame ln;
       ln
 
@@ -609,10 +611,43 @@ let map_fresh_range t ~lo ~hi =
      epoch bump, all attribute to guest-RAM growth *)
   note_flushes t ~cause:Flush_growth (flushes_after - flushes_before + 1)
 
-let copy_code_in t ~base (code : Bytes.t) =
-  for i = 0 to Bytes.length code - 1 do
-    write_guest_byte t (base + i) (Bytes.get_uint8 code i)
+(* Bulk data-path access, one page at a time: a page costs one dTLB
+   lookup where the byte path pays one per byte.  Misses (the pinned
+   [tlb.d_misses]) come out identical, because a byte loop misses only
+   on a page's first byte and hits the rest; only [tlb.d_hits] drops.
+   [gva]'s page translates to RAM address [hpa], or [None]. *)
+let data_hpa t gva =
+  if not t.tlb_on then ram_translate t gva
+  else
+    let e = dtlb_entry t (gva / Layout.page_size) in
+    if e.Tlb.tag >= 0 then Some ((e.Tlb.frame * Layout.page_size) + (gva land page_mask))
+    else None
+
+let iter_pages ~gva ~len f =
+  let pos = ref 0 in
+  while !pos < len do
+    let a = gva + !pos in
+    let n = min (len - !pos) (Layout.page_size - (a land page_mask)) in
+    f a ~pos:!pos ~n;
+    pos := !pos + n
   done
+
+let read_guest_into t ~gva ~len buf ~off =
+  iter_pages ~gva ~len (fun a ~pos ~n ->
+      match data_hpa t a with
+      | Some hpa ->
+          Bytes.blit
+            (Phys.frame_bytes t.phys (hpa / Layout.page_size))
+            (hpa land page_mask) buf (off + pos) n
+      | None ->
+          (* a byte loop misses on every byte of an unmapped page *)
+          if t.tlb_on then Fc_obs.Metrics.add t.tlb_d_misses (n - 1))
+
+let copy_code_in t ~base (code : Bytes.t) =
+  iter_pages ~gva:base ~len:(Bytes.length code) (fun a ~pos ~n ->
+      match data_hpa t a with
+      | Some hpa -> Phys.blit_bytes t.phys ~src:code ~src_off:pos ~dst:hpa ~len:n
+      | None -> invalid_arg (Printf.sprintf "Os.write_guest_byte: unmapped 0x%x" a))
 
 (* ---------------- VMI surface ---------------- *)
 
@@ -687,9 +722,9 @@ let rewrite_guest_module_list t =
   write_guest_u32 t Layout.module_list_head
     (match visible with [] -> 0 | m :: _ -> Hashtbl.find node_of m.mod_name)
 
-let load_module_fns t ~name fns =
+let install_module t ~name assembled =
   let base = t.next_module_base in
-  match Image.assemble_module_fns t.image ~base fns with
+  match assembled ~base with
   | Error e -> raise (Guest_panic (Printf.sprintf "module %s: %s" name e))
   | Ok u ->
       let len = Bytes.length u.Asm.code in
@@ -706,10 +741,13 @@ let load_module_fns t ~name fns =
       rewrite_guest_module_list t;
       info
 
+let load_module_fns t ~name fns =
+  install_module t ~name (fun ~base -> Image.assemble_module_fns t.image ~base fns)
+
 let load_module t name =
-  match List.assoc_opt name Fc_kernel.Catalog.module_functions with
-  | None -> raise (Guest_panic ("unknown module " ^ name))
-  | Some fns -> load_module_fns t ~name fns
+  if not (List.mem_assoc name Fc_kernel.Catalog.module_functions) then
+    raise (Guest_panic ("unknown module " ^ name));
+  install_module t ~name (Image.assemble_module t.image ~name)
 
 let hide_module t name =
   match List.find_opt (fun m -> String.equal m.mod_name name) t.modules with
@@ -824,6 +862,7 @@ let create ?(config = default_config) ?(vcpus = 1) ?obs ?(tlb = true)
              (fun (source, period) -> { source; period; next_at = period })
              config.background_irqs;
       decode_cache = Hashtbl.create 512;
+      sb_scratch = Cpu.block_scratch ();
       sb_store = Hashtbl.create 512;
       at_round = [];
       rewriter = None;
@@ -928,6 +967,16 @@ let spawn ?cpu t ~name script =
 
 (* ---------------- CPU plumbing ---------------- *)
 
+(* The decode of [pc] (at offset [off] of the line's frame), cached. *)
+let line_decode t ln off pc =
+  if Array.length ln.line = 0 then ln.line <- Array.make Layout.page_size None;
+  match Array.unsafe_get ln.line off with
+  | Some r -> r
+  | None ->
+      let r = Cpu.decoder_of_fetch (fun a -> fetch_code t a) pc in
+      ln.line.(off) <- Some r;
+      r
+
 let cached_decode_slow t pc =
   match Pt.translate t.master_pt pc with
   | None -> Cpu.D_unmapped
@@ -941,13 +990,7 @@ let cached_decode_slow t pc =
             Cpu.decoder_of_fetch (fun a -> fetch_code t a) pc
           else begin
             let version = Phys.version t.phys frame in
-            let ln = decode_line_for t frame ~version in
-            match ln.line.(off) with
-            | Some r -> r
-            | None ->
-                let r = Cpu.decoder_of_fetch (fun a -> fetch_code t a) pc in
-                ln.line.(off) <- Some r;
-                r
+            line_decode t (decode_line_for t frame ~version) off pc
           end)
 
 (* Decode with the line pointer folded into the iTLB entry: the common
@@ -964,13 +1007,7 @@ let cached_decode t pc =
         (* possible page-crossing instruction: decode uncached *)
         Cpu.decoder_of_fetch (fun a -> fetch_code t a) pc
       else
-        let ln = e.Tlb.payload in
-        match Array.unsafe_get ln.line off with
-        | Some r -> r
-        | None ->
-            let r = Cpu.decoder_of_fetch (fun a -> fetch_code t a) pc in
-            ln.line.(off) <- Some r;
-            r
+        line_decode t e.Tlb.payload off pc
 
 (* ---------------- superblocks ---------------- *)
 
@@ -983,8 +1020,6 @@ let cached_decode t pc =
    backing frame ([Phys_mem.version]) or a trap-set change invalidates it
    with zero eager work; a tagged view switch merely changes the active
    tag, so a re-entered view's blocks compare valid untouched. *)
-
-let sblock_cap = 64
 
 let build_sblock t pc =
   let v = active_vcpu t in
@@ -1031,88 +1066,22 @@ let build_sblock t pc =
                        end)
                      per);
             let version = Phys.version t.phys frame in
-            let bytes = Phys.frame_bytes t.phys frame in
-            let base = pc - (pc land page_mask) in
-            let read a =
-              let o = a - base in
-              if o >= 0 && o < Layout.page_size then
-                Some (Bytes.get_uint8 bytes o)
-              else None
-            in
-            (* (op, pc, len, arg) in reverse; the block ends before the
-               page tail (where an instruction could straddle pages),
-               before any trap address at index >= 1 (so the executor's
-               entry-only trap probe is exact), at the op cap, and at any
-               unconditional terminator.  Jcc continues in-block: its
-               fall-through is the next op, its taken target exits. *)
-            let ops = ref [] in
-            let n = ref 0 in
-            let exit_pc = ref (-1) in
-            let add op ~pc ~len ~arg =
-              ops := (op, pc, len, arg) :: !ops;
-              incr n
-            in
-            let rec go a =
-              if
-                !n >= sblock_cap
-                || a land page_mask > Layout.page_size - 6
-                || is_trap_addr t a
-              then exit_pc := a
-              else
-                match Insn.decode ~read a with
-                | Error _ ->
-                    (* undecodable bytes: stop before them; the classic
-                       path raises Invalid_opcode there with eip = a *)
-                    exit_pc := a
-                | Ok (insn, len) -> (
-                    match Scan.boundary insn ~pc:a ~len with
-                    | Scan.B_seq ->
-                        let op =
-                          match insn with
-                          | Insn.Push_ebp -> Cpu.S_push_ebp
-                          | Insn.Mov_ebp_esp -> Cpu.S_mov_ebp_esp
-                          | Insn.Leave -> Cpu.S_leave
-                          | _ -> Cpu.S_step
-                        in
-                        add op ~pc:a ~len ~arg:0;
-                        go (a + len)
-                    | Scan.B_cond taken ->
-                        add Cpu.S_jcc ~pc:a ~len ~arg:taken;
-                        go (a + len)
-                    | Scan.B_jump target ->
-                        add Cpu.S_jmp ~pc:a ~len ~arg:target;
-                        exit_pc := target
-                    | Scan.B_call target ->
-                        add Cpu.S_call ~pc:a ~len ~arg:target;
-                        exit_pc := target
-                    | Scan.B_call_dynamic ->
-                        add Cpu.S_call_ind ~pc:a ~len ~arg:0
-                    | Scan.B_return -> add Cpu.S_ret ~pc:a ~len ~arg:0
-                    | Scan.B_stop -> (
-                        match insn with
-                        | Insn.Yield id -> add Cpu.S_yield ~pc:a ~len ~arg:id
-                        | _ -> add Cpu.S_ud2 ~pc:a ~len ~arg:0))
-            in
-            go pc;
-            if !n = 0 then None
+            let s = t.sb_scratch in
+            Cpu.decode_block s (Phys.frame_bytes t.phys frame)
+              ~base:(pc - (pc land page_mask))
+              ~pc ~is_trap:(is_trap_addr t);
+            let n = s.Cpu.bs_count in
+            if n = 0 then None
             else begin
-              let items = Array.of_list (List.rev !ops) in
-              let sb_ops = Array.map (fun (o, _, _, _) -> o) items in
-              let len = Array.length sb_ops in
-              let steps = Array.make len 0 in
-              for i = len - 1 downto 0 do
-                if sb_ops.(i) = Cpu.S_step then
-                  steps.(i) <- (if i + 1 < len then steps.(i + 1) else 0) + 1
-              done;
               let b =
                 {
                   Cpu.sb_start = pc;
-                  sb_ops;
-                  sb_pcs = Array.map (fun (_, p, _, _) -> p) items;
-                  sb_lens = Array.map (fun (_, _, l, _) -> l) items;
-                  sb_args = Array.map (fun (_, _, _, g) -> g) items;
-                  sb_steps = steps;
-                  sb_exit = !exit_pc;
+                  sb_ops = Array.sub s.Cpu.bs_ops 0 n;
+                  sb_pcs = Array.sub s.Cpu.bs_pcs 0 n;
+                  sb_lens = Array.sub s.Cpu.bs_lens 0 n;
+                  sb_args = Array.sub s.Cpu.bs_args 0 n;
+                  sb_steps = Array.sub s.Cpu.bs_steps 0 n;
+                  sb_exit = s.Cpu.bs_exit;
                   sb_tag = tag;
                   sb_tag2 = !tag2;
                   sb_tag3 = !tag3;
@@ -1987,6 +1956,7 @@ let thaw ?obs ~image ~table_of (z : frozen) =
           (fun zt -> { source = zt.zt_source; period = zt.zt_period; next_at = zt.zt_next_at })
           z.z_timers;
       decode_cache = Hashtbl.create 512;
+      sb_scratch = Cpu.block_scratch ();
       sb_store = Hashtbl.create 512;
       at_round = [];
       rewriter = None;

@@ -238,6 +238,12 @@ val read_guest_byte : t -> int -> int option
 
 val read_guest_u32 : t -> int -> int option
 
+val read_guest_into : t -> gva:int -> len:int -> Bytes.t -> off:int -> unit
+(** [read_guest_into t ~gva ~len buf ~off] copies [[gva, gva+len)] of the
+    data path into [buf] at [off], one page at a time; bytes on unmapped
+    pages are left as they were.  Same result and same [tlb.d_misses] as
+    [len] calls to {!read_guest_byte}, with one dTLB lookup per page. *)
+
 val fetch_code : t -> int -> int option
 (** Instruction-fetch path: translates through the {e EPT}, so it sees the
     currently installed kernel view.  What the vCPU decodes from; also what

@@ -119,23 +119,62 @@ let write_u32 t hpa v =
     write_byte t (hpa + i) ((v lsr (8 * i)) land 0xff)
   done
 
+(* Bulk writes go frame by frame: each chunk is one bulk operation on the
+   frame's storage plus one version bump by the chunk's length — exactly
+   the counter values a byte-at-a-time loop leaves, so version-keyed
+   caches, dirty tracking and snapshots cannot tell the two apart.  A
+   dead frame raises before its chunk is written, at the byte where the
+   loop would have stopped. *)
+let room addr = page_size - offset_of_addr addr
+let bump t f n = t.versions.(f) <- t.versions.(f) + n
+
 let fill t ~addr ~len ~pattern =
-  match pattern with
-  | [] -> invalid_arg "Phys_mem.fill: empty pattern"
-  | _ ->
-      let p = Array.of_list pattern in
-      for i = 0 to len - 1 do
-        write_byte t (addr + i) p.(i mod Array.length p)
-      done
+  if pattern = [] then invalid_arg "Phys_mem.fill: empty pattern";
+  let p = Array.of_list pattern in
+  let plen = Array.length p in
+  let pos = ref 0 in
+  while !pos < len do
+    let a = addr + !pos in
+    let f = frame_of_addr a and off = offset_of_addr a in
+    let n = min (len - !pos) (room a) in
+    let dst = frame_bytes t f in
+    (* one period at this chunk's phase, then double the filled prefix:
+       every copy starts at a multiple of the period, so phase holds *)
+    let seed = min n plen in
+    for i = 0 to seed - 1 do
+      Bytes.set_uint8 dst (off + i) (p.((!pos + i) mod plen) land 0xff)
+    done;
+    let filled = ref seed in
+    while !filled < n do
+      let k = min !filled (n - !filled) in
+      Bytes.blit dst off dst (off + !filled) k;
+      filled := !filled + k
+    done;
+    bump t f n;
+    pos := !pos + n
+  done
 
 let blit_bytes t ~src ~src_off ~dst ~len =
-  for i = 0 to len - 1 do
-    write_byte t (dst + i) (Bytes.get_uint8 src (src_off + i))
+  let pos = ref 0 in
+  while !pos < len do
+    let a = dst + !pos in
+    let f = frame_of_addr a in
+    let n = min (len - !pos) (room a) in
+    Bytes.blit src (src_off + !pos) (frame_bytes t f) (offset_of_addr a) n;
+    bump t f n;
+    pos := !pos + n
   done
 
 let copy t ~src ~dst ~len =
-  for i = 0 to len - 1 do
-    write_byte t (dst + i) (read_byte t (src + i))
+  let pos = ref 0 in
+  while !pos < len do
+    let s = src + !pos and d = dst + !pos in
+    let n = min (len - !pos) (min (room s) (room d)) in
+    let from = frame_bytes t (frame_of_addr s) in
+    let f = frame_of_addr d in
+    Bytes.blit from (offset_of_addr s) (frame_bytes t f) (offset_of_addr d) n;
+    bump t f n;
+    pos := !pos + n
   done
 
 let frame_count t = t.next

@@ -59,6 +59,14 @@ val read_u32 : t -> int -> int
 
 val write_u32 : t -> int -> int -> unit
 
+(** {2 Bulk writes}
+
+    [fill], [blit_bytes] and [copy] work one frame-sized chunk at a time
+    at [Bytes.blit] speed, and are indistinguishable from writing their
+    bytes one by one with {!write_byte}: contents are identical, and each
+    frame's {!version} moves by exactly the number of bytes written into
+    it. *)
+
 val fill : t -> addr:int -> len:int -> pattern:int list -> unit
 (** Tile [pattern] over [[addr, addr+len)] — e.g. UD2-filling a view page
     with [pattern = [0x0f; 0x0b]].  The pattern restarts at [addr], so a
@@ -69,7 +77,7 @@ val blit_bytes : t -> src:Bytes.t -> src_off:int -> dst:int -> len:int -> unit
 
 val copy : t -> src:int -> dst:int -> len:int -> unit
 (** Physical-to-physical copy (code recovery: original frame → view
-    frame). *)
+    frame).  The two ranges must not overlap. *)
 
 val frame_of_addr : int -> int
 val offset_of_addr : int -> int

@@ -161,6 +161,62 @@ let test_render_addr_forms () =
     (Printf.sprintf "0x%x <UNKNOWN>" (base + 16))
     (Hyp.render_addr hyp (base + 16))
 
+(* The symbol table follows the VMI module list through real UD2
+   recoveries: Facechange refreshes it on every recovery, which rebuilds
+   it only when the list moved.  A guest under the runtime (kvmclock)
+   clocksource recovers the paravirtual clock chain on its first timer
+   interrupts, so its run always includes recoveries. *)
+let recovering_guest () =
+  let os = Os.create ~config:Os.runtime_config (Lazy.force image) in
+  let hyp = Hyp.attach os in
+  let fc = Fc_core.Facechange.enable hyp in
+  let profiles = Lazy.force Test_env.profiles in
+  let (_ : int) =
+    Fc_core.Facechange.load_view fc (Fc_benchkit.Profiles.config_of profiles "top")
+  in
+  let app = Fc_apps.App.find_exn "top" in
+  ignore (Os.spawn os ~name:"top" (app.Fc_apps.App.script 2) : Fc_machine.Process.t);
+  (os, hyp, fc)
+
+let run_recovering os fc =
+  Os.run os;
+  check_bool "the run recovered code" true (Fc_core.Facechange.recoveries fc > 0)
+
+let module_base hyp name =
+  match List.find_opt (fun (n, _, _) -> n = name) (Hyp.module_list hyp) with
+  | Some (_, base, _) -> base
+  | None -> Alcotest.failf "module %s not visible" name
+
+let is_unknown rendered =
+  let n = String.length rendered in
+  n >= 9 && String.sub rendered (n - 9) 9 = "<UNKNOWN>"
+
+let test_symbols_reused_without_module_change () =
+  let os, hyp, fc = recovering_guest () in
+  let before = Hyp.symbols hyp in
+  run_recovering os fc;
+  check_bool "same table, physically" true (Hyp.symbols hyp == before)
+
+let test_symbols_follow_hidden_module () =
+  let os, hyp, fc = recovering_guest () in
+  let before = Hyp.symbols hyp in
+  let base = module_base hyp "af_packet" in
+  check_bool "visible module symbolized" false (is_unknown (Hyp.render_addr hyp base));
+  Os.hide_module os "af_packet";
+  run_recovering os fc;
+  check_bool "table rebuilt" true (Hyp.symbols hyp != before);
+  check_bool "hidden module renders UNKNOWN" true (is_unknown (Hyp.render_addr hyp base))
+
+let test_symbols_follow_loaded_module () =
+  let os, hyp, fc = recovering_guest () in
+  let before = Hyp.symbols hyp in
+  let info = Os.load_module os "snd_hda" in
+  let base = info.Os.unit_image.Fc_isa.Asm.base in
+  check_bool "not yet symbolized" true (is_unknown (Hyp.render_addr hyp base));
+  run_recovering os fc;
+  check_bool "table rebuilt" true (Hyp.symbols hyp != before);
+  check_bool "loaded module symbolized" false (is_unknown (Hyp.render_addr hyp base))
+
 let test_original_tables_snapshot () =
   let _, hyp = fresh () in
   let text_dir =
@@ -196,6 +252,12 @@ let suites =
         tc "stack walk stops at the user sentinel" test_stack_frames_stop_at_sentinel;
         tc "entry-point faults read the caller from esp" test_stack_frames_entry_caller;
         tc "address rendering: symbol / module / UNKNOWN" test_render_addr_forms;
+        tc "symbol table reused when the module list is unchanged"
+          test_symbols_reused_without_module_change;
+        tc "recovery after hide_module rebuilds the symbol table"
+          test_symbols_follow_hidden_module;
+        tc "recovery after load_module rebuilds the symbol table"
+          test_symbols_follow_loaded_module;
         tc "original EPT tables snapshotted at attach" test_original_tables_snapshot;
         tc "detach restores the default handler" test_detach_restores_default;
       ] );

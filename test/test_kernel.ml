@@ -201,7 +201,13 @@ let test_module_relocation_identical_structure () =
       check_bool "same name" true (p1.Asm.pname = p2.Asm.pname);
       check_int "same relative offset" (p1.Asm.addr - u1.Asm.base) (p2.Asm.addr - u2.Asm.base);
       check_int "same size" p1.Asm.size p2.Asm.size)
-    u1.Asm.functions u2.Asm.functions
+    u1.Asm.functions u2.Asm.functions;
+  (* each (name, base) is assembled once per image, then shared *)
+  let again =
+    Result.get_ok (Image.assemble_module img ~name:"af_packet" ~base:Layout.module_area_base)
+  in
+  check_bool "same unit for the same base" true (again == u1);
+  check_bool "distinct unit per base" true (u2 != u1)
 
 let test_unknown_module () =
   let img = Lazy.force image in

@@ -228,6 +228,66 @@ let prop_fill_tiles =
       done;
       !ok)
 
+(* Bulk writes against the byte-at-a-time loop they replace: twin pools,
+   the same ranges (crossing frame boundaries), identical contents and an
+   identical version for every frame afterwards. *)
+let prop_bulk_writes_match_byte_loop =
+  let pages = 6 in
+  QCheck.Test.make ~name:"fill/blit_bytes/copy = byte loop (contents, versions)"
+    ~count:300 (QCheck.int_range 1 1_000_000) (fun seed ->
+      let rs = Random.State.make [| seed |] in
+      let twin () =
+        let m = Phys.create () in
+        ignore (Phys.alloc_n m pages : int list);
+        m
+      in
+      let bulk = twin () and bytewise = twin () in
+      let page = Phys.page_size in
+      (* a start near a frame boundary, a length that may span several *)
+      let addr lo_page =
+        ((lo_page + Random.State.int rs 2) * page)
+        + (if Random.State.bool rs then Random.State.int rs page
+           else page - 1 - Random.State.int rs 16)
+      in
+      let len () = Random.State.int rs (2 * page) in
+      (match Random.State.int rs 3 with
+      | 0 ->
+          let a = addr 0 and n = len () in
+          let pattern =
+            List.init (1 + Random.State.int rs 5) (fun _ -> Random.State.int rs 512)
+          in
+          let p = Array.of_list pattern in
+          Phys.fill bulk ~addr:a ~len:n ~pattern;
+          for i = 0 to n - 1 do
+            Phys.write_byte bytewise (a + i) p.(i mod Array.length p)
+          done
+      | 1 ->
+          let a = addr 0 and n = len () in
+          let src_off = Random.State.int rs 64 in
+          let src = Bytes.init (src_off + n) (fun _ -> Char.chr (Random.State.int rs 256)) in
+          Phys.blit_bytes bulk ~src ~src_off ~dst:a ~len:n;
+          for i = 0 to n - 1 do
+            Phys.write_byte bytewise (a + i) (Bytes.get_uint8 src (src_off + i))
+          done
+      | _ ->
+          (* fill the source first so the copy moves distinct bytes *)
+          List.iter
+            (fun m ->
+              for i = 0 to (2 * page) - 1 do
+                Phys.write_byte m i ((i * 7) land 0xff)
+              done)
+            [ bulk; bytewise ];
+          let s = Random.State.int rs page and d = addr 3 in
+          let n = min (len ()) ((pages * page) - d) in
+          Phys.copy bulk ~src:s ~dst:d ~len:n;
+          for i = 0 to n - 1 do
+            Phys.write_byte bytewise (d + i) (Phys.read_byte bytewise (s + i))
+          done);
+      Phys.versions_snapshot bulk = Phys.versions_snapshot bytewise
+      && List.for_all
+           (fun f -> Bytes.equal (Phys.frame_bytes bulk f) (Phys.frame_bytes bytewise f))
+           (List.init pages Fun.id))
+
 let tc name f = Alcotest.test_case name `Quick f
 
 let suites =
@@ -244,6 +304,7 @@ let suites =
         tc "blit and copy" test_copy;
         tc "refcounted sharing" test_refcounts;
         QCheck_alcotest.to_alcotest prop_fill_tiles;
+        QCheck_alcotest.to_alcotest prop_bulk_writes_match_byte_loop;
       ] );
     ( "mem.frame_cache",
       [

@@ -373,6 +373,159 @@ let prop_matrix_invisible =
           = base)
         (List.tl Differential.tagged_configs))
 
+(* ---------------- block decoder vs the reference builder ---------------- *)
+
+module Cpu = Fc_machine.Cpu
+module Insn = Fc_isa.Insn
+module Scan = Fc_isa.Scan
+
+(* The superblock builder written the straightforward way: an
+   option-returning byte reader, [Insn.decode ~read], [Scan.boundary]
+   classification and a list of (op, pc, len, arg) tuples.  The
+   allocation-free [Cpu.decode_block] must produce exactly its block. *)
+let reference_block bytes ~base ~pc ~is_trap =
+  let size = Bytes.length bytes in
+  let read a =
+    let o = a - base in
+    if o >= 0 && o < size then Some (Bytes.get_uint8 bytes o) else None
+  in
+  let items = ref [] and n = ref 0 and exit_pc = ref (-1) in
+  let add op a len arg =
+    items := (op, a, len, arg) :: !items;
+    incr n
+  in
+  let rec go a =
+    if !n >= Cpu.block_cap || a - base > size - 6 || is_trap a then exit_pc := a
+    else
+      match Insn.decode ~read a with
+      | Error _ -> exit_pc := a
+      | Ok (insn, len) -> (
+          match Scan.boundary insn ~pc:a ~len with
+          | Scan.B_seq ->
+              let op =
+                match insn with
+                | Insn.Push_ebp -> Cpu.S_push_ebp
+                | Insn.Mov_ebp_esp -> Cpu.S_mov_ebp_esp
+                | Insn.Leave -> Cpu.S_leave
+                | _ -> Cpu.S_step
+              in
+              add op a len 0;
+              go (a + len)
+          | Scan.B_cond taken ->
+              add Cpu.S_jcc a len taken;
+              go (a + len)
+          | Scan.B_jump target ->
+              add Cpu.S_jmp a len target;
+              exit_pc := target
+          | Scan.B_call target ->
+              add Cpu.S_call a len target;
+              exit_pc := target
+          | Scan.B_call_dynamic -> add Cpu.S_call_ind a len 0
+          | Scan.B_return -> add Cpu.S_ret a len 0
+          | Scan.B_stop -> (
+              match insn with
+              | Insn.Yield id -> add Cpu.S_yield a len id
+              | _ -> add Cpu.S_ud2 a len 0))
+  in
+  go pc;
+  let items = Array.of_list (List.rev !items) in
+  let ops = Array.map (fun (o, _, _, _) -> o) items in
+  let steps = Array.make (Array.length ops) 0 in
+  for i = Array.length ops - 1 downto 0 do
+    if ops.(i) = Cpu.S_step then
+      steps.(i) <- (if i + 1 < Array.length ops then steps.(i + 1) else 0) + 1
+  done;
+  ( ops,
+    Array.map (fun (_, p, _, _) -> p) items,
+    Array.map (fun (_, _, l, _) -> l) items,
+    Array.map (fun (_, _, _, g) -> g) items,
+    steps,
+    !exit_pc )
+
+(* Page bytes biased toward the ISA: mostly whole encodings with random
+   operands, plus unknown first bytes, known opcodes followed by a wrong
+   second byte, and encodings cut short so the next fragment supplies
+   their operand bytes. *)
+let biased_page rs =
+  let page = Bytes.create Layout.page_size in
+  let byte () = Random.State.int rs 256 in
+  let insn () =
+    match Random.State.int rs 15 with
+    | 0 -> Insn.Push_ebp
+    | 1 -> Insn.Mov_ebp_esp
+    | 2 -> Insn.Nop
+    | 3 -> Insn.Ud2
+    | 4 -> Insn.Call_rel (Random.State.int rs 0x20000 - 0x10000)
+    | 5 -> Insn.Call_indirect
+    | 6 -> Insn.Ret
+    | 7 -> Insn.Leave
+    | 8 -> Insn.Alu (byte ())
+    | 9 -> Insn.Or_mem (byte ())
+    | 10 -> Insn.Jmp_rel (Random.State.int rs 256 - 128)
+    | 11 -> Insn.Jcc_rel (Random.State.int rs 256 - 128)
+    | 12 -> Insn.Yield (byte ())
+    | 13 -> Insn.Iret
+    | _ -> Insn.Int_sw (byte ())
+  in
+  let fragment () =
+    match Random.State.int rs 10 with
+    | 0 -> [ byte () ]
+    | 1 ->
+        [ List.nth [ 0x89; 0x0f; 0xff ] (Random.State.int rs 3); byte () ]
+    | 2 ->
+        let e = Insn.encode (insn ()) in
+        List.filteri (fun i _ -> i < max 1 (Random.State.int rs (List.length e))) e
+    | _ -> Insn.encode (insn ())
+  in
+  let pos = ref 0 in
+  while !pos < Layout.page_size do
+    List.iter
+      (fun b ->
+        if !pos < Layout.page_size then begin
+          Bytes.set_uint8 page !pos b;
+          incr pos
+        end)
+      (fragment ())
+  done;
+  page
+
+let prop_decode_block_matches_reference =
+  QCheck.Test.make
+    ~name:"allocation-free block decoder = Insn.decode reference builder"
+    ~count:300 (QCheck.int_range 1 1_000_000) (fun seed ->
+      let rs = Random.State.make [| seed |] in
+      let base = Layout.text_base + (Random.State.int rs 64 * Layout.page_size) in
+      let page = biased_page rs in
+      let scratch = Cpu.block_scratch () in
+      List.for_all
+        (fun _ ->
+          (* start anywhere, the page tail included; traps land mostly
+             just ahead of the start, where a block would run into them *)
+          let off =
+            if Random.State.bool rs then Random.State.int rs Layout.page_size
+            else Layout.page_size - 1 - Random.State.int rs 64
+          in
+          let pc = base + off in
+          let traps =
+            List.init (Random.State.int rs 4) (fun _ ->
+                pc + Random.State.int rs 96 - 8)
+          in
+          let is_trap a = List.mem a traps in
+          let ops, pcs, lens, args, steps, exit =
+            reference_block page ~base ~pc ~is_trap
+          in
+          Cpu.decode_block scratch page ~base ~pc ~is_trap;
+          let n = scratch.Cpu.bs_count in
+          let sub a = Array.sub a 0 n in
+          n = Array.length ops
+          && sub scratch.Cpu.bs_ops = ops
+          && sub scratch.Cpu.bs_pcs = pcs
+          && sub scratch.Cpu.bs_lens = lens
+          && sub scratch.Cpu.bs_args = args
+          && sub scratch.Cpu.bs_steps = steps
+          && scratch.Cpu.bs_exit = exit)
+        (List.init 16 Fun.id))
+
 let suites =
   [
     ( "sblocks",
@@ -400,5 +553,6 @@ let suites =
           test_enforced_matrix;
       ] );
     ( "sblocks.properties",
-      List.map QCheck_alcotest.to_alcotest [ prop_matrix_invisible ] );
+      List.map QCheck_alcotest.to_alcotest
+        [ prop_matrix_invisible; prop_decode_block_matches_reference ] );
   ]
