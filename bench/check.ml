@@ -270,7 +270,7 @@ let check_timeline j =
 let chaos_pins_100 =
   [
     ([ "governed"; "faults_injected" ], 535);
-    ([ "governed"; "recoveries" ], 242);
+    ([ "governed"; "recoveries" ], 245);
     ([ "governed"; "storms" ], 23);
     ([ "governed"; "degradations" ], 159);
     ([ "governed"; "renarrows" ], 7);
@@ -637,12 +637,12 @@ let check_perf j =
    behavior change. *)
 let fleet_cell_pins =
   [
-    ("instructions", 40617176);
-    ("cycles", 53150303);
+    ("instructions", 40612371);
+    ("cycles", 53129280);
     ("context_switches", 1299);
-    ("view_switches", 1274);
-    ("recoveries", 139);
-    ("recovered_bytes", 61568);
+    ("view_switches", 1264);
+    ("recoveries", 134);
+    ("recovered_bytes", 58944);
     ("degradations", 70);
     ("quarantines", 19);
     ("total_frames", 2062);
@@ -985,7 +985,7 @@ let migrate_row_pins =
         ("bytes_copied", 1937408); ("snapshot_bytes", 820867) ] );
     ( (3, 725993633631596918),
       [ ("pages_total", 477); ("pages_copied", 481); ("final_dirty", 0);
-        ("bytes_copied", 1970176); ("snapshot_bytes", 854264) ] );
+        ("bytes_copied", 1970176); ("snapshot_bytes", 858392) ] );
     ( (3, 1520132603867492020),
       [ ("pages_total", 473); ("pages_copied", 480); ("final_dirty", 0);
         ("bytes_copied", 1966080); ("snapshot_bytes", 821378) ] );

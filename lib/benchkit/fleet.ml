@@ -21,6 +21,7 @@ type t = {
   f_pinned : cell list;
   f_warm : cell list;
   f_sweep : cell list;
+  f_block_store : Fc_isa.Block.stats;
 }
 
 (* Same variety criteria as the chaos pool: different syscall mixes and
@@ -169,6 +170,8 @@ let run ?(fast = false) ?(seed = 7) profiles =
     f_pinned = pinned;
     f_warm = warm;
     f_sweep = sweep;
+    f_block_store =
+      Fc_isa.Block.stats (Fc_kernel.Image.blocks (Profiles.image profiles));
   }
 
 let cell_to_json c =
@@ -218,6 +221,7 @@ let to_json t =
             ("cells", J.List (List.map cell_to_json t.f_warm));
           ] );
       ("sweep", J.List (List.map cell_to_json t.f_sweep));
+      ("block_store", Perf.block_store_to_json t.f_block_store);
     ]
 
 let render t =
@@ -263,4 +267,5 @@ let render t =
        (if warm_fps = fps || warm_fps = [] then "IDENTICAL" else "DIVERGED"));
   Buffer.add_string buf "  sweep:\n";
   List.iter (line "sweep") t.f_sweep;
+  Buffer.add_string buf ("  " ^ Perf.render_block_store t.f_block_store);
   Buffer.contents buf

@@ -30,6 +30,9 @@ type t = {
           snapshot ({!run_cell} [~warm_start:true]); its fingerprints
           must equal the cold-boot pinned cell's *)
   f_sweep : cell list;  (** domains x guests grid (smaller with [fast]) *)
+  f_block_store : Fc_isa.Block.stats;
+      (** the image's shared superblock-body store after the arm
+          (cumulative, recorded only) *)
 }
 
 val pinned_guests : int

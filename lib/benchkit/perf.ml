@@ -253,6 +253,7 @@ type t = {
   httperf_speedup_sblocks : float;
   cold : float * int * float;  (* seconds, instructions, ips *)
   warm : float * int * float;
+  block_store : Fc_isa.Block.stats;  (* recorded only, never gated *)
 }
 
 let speedup ~fast_arm ~base_arm =
@@ -327,6 +328,8 @@ let run ?(reps = 3) profiles =
       speedup ~fast_arm:(List.nth hp 2) ~base_arm:(List.nth hp 0);
     cold;
     warm;
+    block_store =
+      Fc_isa.Block.stats (Fc_kernel.Image.blocks (Profiles.image profiles));
   }
 
 let counters_to_json c =
@@ -369,6 +372,22 @@ let point_to_json (s, i, v) =
   J.Obj
     [ ("seconds", J.Float s); ("instructions", J.Int i); ("ips", J.Float v) ]
 
+let block_store_to_json (s : Fc_isa.Block.stats) =
+  J.Obj
+    [
+      ("bodies", J.Int s.Fc_isa.Block.bodies);
+      ("decodes", J.Int s.Fc_isa.Block.decodes);
+      ("shared_hits", J.Int s.Fc_isa.Block.shared_hits);
+      ("retained_bytes", J.Int s.Fc_isa.Block.retained_bytes);
+    ]
+
+let render_block_store (s : Fc_isa.Block.stats) =
+  Printf.sprintf
+    "block store (image-wide, cumulative): %d bodies, %d decodes, %d shared \
+     hits, %d retained bytes\n"
+    s.Fc_isa.Block.bodies s.Fc_isa.Block.decodes s.Fc_isa.Block.shared_hits
+    s.Fc_isa.Block.retained_bytes
+
 let to_json t =
   J.Obj
     [
@@ -393,6 +412,7 @@ let to_json t =
       ( "warm_cold",
         J.Obj [ ("cold", point_to_json t.cold); ("warm", point_to_json t.warm) ]
       );
+      ("block_store", block_store_to_json t.block_store);
     ]
 
 let render t =
@@ -432,4 +452,5 @@ let render t =
   pr "syscall loop, cold TLB: %.4fs  %d instr  %.0f ips\n" s i v;
   let s, i, v = t.warm in
   pr "syscall loop, warm TLB: %.4fs  %d instr  %.0f ips\n" s i v;
+  pr "%s" (render_block_store t.block_store);
   Buffer.contents buf

@@ -81,6 +81,10 @@ type t = {
   warm : float * int * float;
       (** the same loop run second in the same guest — kernel working
           set already cached *)
+  block_store : Fc_isa.Block.stats;
+      (** the image's shared superblock-body store after the run:
+          cumulative since the image was built (profiling included),
+          recorded only — no gate reads it *)
 }
 
 val run : ?reps:int -> Profiles.t -> t
@@ -89,3 +93,7 @@ val run : ?reps:int -> Profiles.t -> t
 
 val to_json : t -> Fc_obs.Jsonx.t
 val render : t -> string
+
+val block_store_to_json : Fc_isa.Block.stats -> Fc_obs.Jsonx.t
+val render_block_store : Fc_isa.Block.stats -> string
+(** One report line on the image's superblock-body store. *)

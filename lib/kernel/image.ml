@@ -11,6 +11,9 @@ type t = {
          bases, so each is assembled once.  The list is immutable and
          published by compare-and-set, which is safe for guests booting
          on several domains at once. *)
+  blocks : Fc_isa.Block.store;
+      (* decoded superblock bodies, shared by every guest booted from
+         this image (lock-free, like [modules]) *)
 }
 
 let build () =
@@ -23,7 +26,14 @@ let build () =
         (fun (p : Asm.placed) -> Hashtbl.replace by_name p.pname p)
         unit_image.functions;
       let starts = Array.of_list unit_image.functions in
-      Ok { unit_image; by_name; starts; modules = Atomic.make [] }
+      Ok
+        {
+          unit_image;
+          by_name;
+          starts;
+          modules = Atomic.make [];
+          blocks = Fc_isa.Block.store ();
+        }
 
 let build_exn () =
   match build () with
@@ -56,6 +66,7 @@ let placed_at t addr =
     if addr < p.Asm.addr + p.Asm.size then Some p else None
 
 let functions t = t.unit_image.functions
+let blocks t = t.blocks
 
 let read_byte t gva =
   let off = gva - t.unit_image.base in

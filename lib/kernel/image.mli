@@ -43,6 +43,12 @@ val assemble_module :
 val assemble_module_fns :
   t -> base:int -> Kfunc.t list -> (Fc_isa.Asm.unit_image, string) result
 
+val blocks : t -> Fc_isa.Block.store
+(** The superblock bodies decoded so far by guests booted from this
+    image.  Every [Os] built on the image looks its blocks up here before
+    decoding and publishes what it decodes; the store's counts live
+    outside any guest's metrics registry. *)
+
 val false_prologues : t -> int list
 (** Alignment-boundary addresses inside the text section that carry the
     prologue signature but are {e not} function starts — must be empty for

@@ -177,7 +177,7 @@ type t = {
   mutable next_module_base : int;
   mutable timers : irq_timer list;
   decode_cache : (int, decode_line) Hashtbl.t; (* host frame -> line *)
-  sb_scratch : Cpu.block_scratch; (* the block builder's decode buffers *)
+  sb_scratch : Fc_isa.Block.scratch; (* the block builder's decode buffers *)
   sb_store : (int, (int, Cpu.sblock) Hashtbl.t) Hashtbl.t;
       (* host frame -> (page offset -> superblock): the retention tier
          behind the per-vCPU block cache.  Blocks here outlive view
@@ -782,13 +782,7 @@ let dummy_decode_line = { line_version = min_int; line = [||] }
 
 let dummy_sblock =
   {
-    Cpu.sb_start = -1;
-    sb_ops = [||];
-    sb_pcs = [||];
-    sb_lens = [||];
-    sb_args = [||];
-    sb_steps = [||];
-    sb_exit = -1;
+    Cpu.sb_body = Fc_isa.Block.dummy;
     sb_tag = -1;
     sb_tag2 = -1;
     sb_tag3 = -1;
@@ -862,7 +856,7 @@ let create ?(config = default_config) ?(vcpus = 1) ?obs ?(tlb = true)
              (fun (source, period) -> { source; period; next_at = period })
              config.background_irqs;
       decode_cache = Hashtbl.create 512;
-      sb_scratch = Cpu.block_scratch ();
+      sb_scratch = Fc_isa.Block.scratch ();
       sb_store = Hashtbl.create 512;
       at_round = [];
       rewriter = None;
@@ -1066,46 +1060,43 @@ let build_sblock t pc =
                        end)
                      per);
             let version = Phys.version t.phys frame in
-            let s = t.sb_scratch in
-            Cpu.decode_block s (Phys.frame_bytes t.phys frame)
-              ~base:(pc - (pc land page_mask))
-              ~pc ~is_trap:(is_trap_addr t);
-            let n = s.Cpu.bs_count in
-            if n = 0 then None
-            else begin
-              let b =
-                {
-                  Cpu.sb_start = pc;
-                  sb_ops = Array.sub s.Cpu.bs_ops 0 n;
-                  sb_pcs = Array.sub s.Cpu.bs_pcs 0 n;
-                  sb_lens = Array.sub s.Cpu.bs_lens 0 n;
-                  sb_args = Array.sub s.Cpu.bs_args 0 n;
-                  sb_steps = Array.sub s.Cpu.bs_steps 0 n;
-                  sb_exit = s.Cpu.bs_exit;
-                  sb_tag = tag;
-                  sb_tag2 = !tag2;
-                  sb_tag3 = !tag3;
-                  sb_ggen = ggen;
-                  sb_frame = frame;
-                  sb_version = version;
-                  sb_trap_gen = t.trap_gen;
-                  sb_next = None;
-                }
-              in
-              (* retain per (frame, offset): the block survives in the
-                 store as long as the frame's bytes do, so remapping this
-                 page back later resurrects it instead of re-decoding *)
-              let per =
-                match Hashtbl.find_opt t.sb_store frame with
-                | Some per -> per
-                | None ->
-                    let per = Hashtbl.create 16 in
-                    Hashtbl.add t.sb_store frame per;
-                    per
-              in
-              Hashtbl.replace per (pc land page_mask) b;
-              Some b
-            end)
+            (* the body comes from the image's shared store when another
+               guest (or this one, under another view) already decoded
+               the same bytes under the same trap verdicts *)
+            match
+              Fc_isa.Block.get (Image.blocks t.image) t.sb_scratch
+                (Phys.frame_bytes t.phys frame)
+                ~base:(pc - (pc land page_mask))
+                ~pc ~is_trap:(is_trap_addr t)
+            with
+            | None -> None
+            | Some body ->
+                let b =
+                  {
+                    Cpu.sb_body = body;
+                    sb_tag = tag;
+                    sb_tag2 = !tag2;
+                    sb_tag3 = !tag3;
+                    sb_ggen = ggen;
+                    sb_frame = frame;
+                    sb_version = version;
+                    sb_trap_gen = t.trap_gen;
+                    sb_next = None;
+                  }
+                in
+                (* retain per (frame, offset): the block survives in the
+                   store as long as the frame's bytes do, so remapping this
+                   page back later resurrects it instead of re-decoding *)
+                let per =
+                  match Hashtbl.find_opt t.sb_store frame with
+                  | Some per -> per
+                  | None ->
+                      let per = Hashtbl.create 16 in
+                      Hashtbl.add t.sb_store frame per;
+                      per
+                in
+                Hashtbl.replace per (pc land page_mask) b;
+                Some b)
 
 (* No trap address in [lo, hi]?  One probe of the sorted trap mirror. *)
 let no_trap_in t ~lo ~hi =
@@ -1135,9 +1126,12 @@ let sblock_fresh t (b : Cpu.sblock) =
   b.Cpu.sb_version = Phys.version t.phys b.Cpu.sb_frame
   && (b.Cpu.sb_trap_gen = t.trap_gen
      ||
-     let pcs = b.Cpu.sb_pcs in
-     let n = Array.length pcs in
-     if n <= 1 || no_trap_in t ~lo:pcs.(1) ~hi:pcs.(n - 1) then begin
+     let body = b.Cpu.sb_body in
+     let n = Fc_isa.Block.length body in
+     if n <= 1
+        || no_trap_in t ~lo:(Fc_isa.Block.pc body 1)
+             ~hi:(Fc_isa.Block.pc body (n - 1))
+     then begin
        b.Cpu.sb_trap_gen <- t.trap_gen;
        true
      end
@@ -1191,7 +1185,8 @@ let sblock_valid t (v : vcpu) (b : Cpu.sblock) =
           true
         end)
   ||
-  if sblock_current_frame t v b.Cpu.sb_start = b.Cpu.sb_frame then begin
+  if sblock_current_frame t v b.Cpu.sb_body.Fc_isa.Block.start = b.Cpu.sb_frame
+  then begin
     b.Cpu.sb_tag3 <- b.Cpu.sb_tag2;
     b.Cpu.sb_tag2 <- b.Cpu.sb_tag;
     b.Cpu.sb_tag <- tag;
@@ -1233,7 +1228,7 @@ let sblock_probe t (v : vcpu) pc =
           | None -> None
           | Some per -> (
               match Hashtbl.find_opt per (pc land page_mask) with
-              | Some b when b.Cpu.sb_start = pc && sblock_fresh t b ->
+              | Some b when b.Cpu.sb_body.Fc_isa.Block.start = pc && sblock_fresh t b ->
                   let tag = Ept.tag v.vept in
                   if b.Cpu.sb_tag <> tag then begin
                     b.Cpu.sb_tag3 <- b.Cpu.sb_tag2;
@@ -1271,9 +1266,9 @@ let sblock_probe t (v : vcpu) pc =
 let sblock_find t pc =
   let v = active_vcpu t in
   match v.vsb_last with
-  | Some lb when lb.Cpu.sb_exit = pc -> (
+  | Some lb when lb.Cpu.sb_body.Fc_isa.Block.exit = pc -> (
       match lb.Cpu.sb_next with
-      | Some nb when nb.Cpu.sb_start = pc && sblock_valid t v nb ->
+      | Some nb when nb.Cpu.sb_body.Fc_isa.Block.start = pc && sblock_valid t v nb ->
           Fc_obs.Metrics.incr t.sb_chains;
           v.vsb_last <- Some nb;
           Some nb
@@ -1956,7 +1951,7 @@ let thaw ?obs ~image ~table_of (z : frozen) =
           (fun zt -> { source = zt.zt_source; period = zt.zt_period; next_at = zt.zt_next_at })
           z.z_timers;
       decode_cache = Hashtbl.create 512;
-      sb_scratch = Cpu.block_scratch ();
+      sb_scratch = Fc_isa.Block.scratch ();
       sb_store = Hashtbl.create 512;
       at_round = [];
       rewriter = None;

@@ -75,7 +75,7 @@ let finish s ~app =
   { app; handlers = sorted_assoc s.handler_counts; bigrams = sorted_assoc s.bigram_counts }
 
 let profile_app ?(config = Os.profiling_config) image ~name script =
-  let os = Os.create ~config image in
+  let os = Os.create ~config ~sblocks:true image in
   let p = Os.spawn os ~name script in
   let s = start os ~target_pid:p.Fc_machine.Process.pid in
   Os.run os;

@@ -39,7 +39,7 @@ val profile_app :
   Fc_machine.Action.t list ->
   t
 (** One-shot behavioral profiling session (mirrors
-    {!Profiler.profile_app}). *)
+    {!Profiler.profile_app}, superblock engine included). *)
 
 val knows_handler : t -> string -> bool
 val knows_bigram : t -> prev:string -> cur:string -> bool

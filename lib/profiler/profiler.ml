@@ -104,7 +104,7 @@ let view_ranges s = Range_list.union (app_ranges s) (interrupt_ranges s)
 let to_config s ~app = View_config.make ~app (view_ranges s)
 
 let profile_app ?(config = Os.profiling_config) image ~name script =
-  let os = Os.create ~config image in
+  let os = Os.create ~config ~sblocks:true image in
   let p = Os.spawn os ~name script in
   let s = start os ~target_pid:p.Fc_machine.Process.pid in
   Os.run os;

@@ -36,4 +36,6 @@ val profile_app :
 (** One-shot off-line profiling session: boot a fresh guest in the
     profiling environment ({!Fc_machine.Os.profiling_config} by default),
     run the given workload as process [name] to completion, and emit its
-    kernel view configuration. *)
+    kernel view configuration.  The guest runs on the superblock engine;
+    the trace hook still sees every instruction, so the configuration is
+    byte-identical to the reference interpreter's. *)

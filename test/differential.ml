@@ -56,6 +56,9 @@ type engine = {
   en_sb_invalidations : int;
   en_sb_chain_follows : int;
   en_itlb_hits : int;
+  en_registry : string;
+      (* the whole metrics registry as CSV: every counter, gauge and
+         histogram the guest exported *)
 }
 
 (* The full {sblocks} x {tlb} matrix, baseline first. *)
@@ -80,8 +83,11 @@ let describe ?tagged ~sblocks ~tlb () =
 (* One enforced run: a random application from the pool (plus a fixed
    companion, so context switches and cross-app view switching happen), a
    random fault plan derived from the seed, FACE-CHANGE enabled with the
-   default governor, full tracing armed. *)
-let run ?(tagged = true) ~profiles ~sblocks ~tlb ~fault_seed () =
+   default governor, full tracing armed.  [image] defaults to the
+   profiles' own; a fresh [Image.build_exn ()] gives the guest a cold
+   superblock store (the build is deterministic, so the profiles'
+   configurations fit it). *)
+let run ?(tagged = true) ?image ~profiles ~sblocks ~tlb ~fault_seed () =
   let r = Frand.create (fault_seed lxor 0x7157) in
   let pool = [ "top"; "apache"; "gvim"; "bash"; "gzip" ] in
   let name = Frand.pick r pool in
@@ -90,7 +96,7 @@ let run ?(tagged = true) ~profiles ~sblocks ~tlb ~fault_seed () =
   let app = App.find_exn name in
   let os =
     Os.create ~config:(App.os_config app) ~tlb ~sblocks ~tagged
-      (Profiles.image profiles)
+      (match image with Some i -> i | None -> Profiles.image profiles)
   in
   let ih = ref 0 and eh = ref 0 in
   Os.set_trace os (Some (fun a len -> ih := (((!ih * 31) + a) * 31) + len));
@@ -138,6 +144,7 @@ let run ?(tagged = true) ~profiles ~sblocks ~tlb ~fault_seed () =
       en_sb_invalidations = c "sb.invalidations";
       en_sb_chain_follows = c "sb.chain_follows";
       en_itlb_hits = c "tlb.i_hits";
+      en_registry = Fc_obs.Export.metrics_to_csv m;
     } )
 
 let fingerprint ?(tagged = true) ~profiles ~sblocks ~tlb ~fault_seed () =
