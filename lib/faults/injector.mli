@@ -26,6 +26,13 @@ val arm :
     schedule the plan.  At most one injector should be armed per guest —
     arming replaces any previously installed fault hooks. *)
 
+val snap_to_insn : Fc_kernel.Image.t -> int -> int
+(** [snap_to_insn image gva] is where a view-page flip drawn at kernel
+    text address [gva] writes its UD2 pair: the start of an instruction
+    of at least two bytes in the function containing [gva] — the first
+    at or after [gva], else the last before it.  Addresses outside every
+    function (inter-function padding) are returned unchanged. *)
+
 val disarm : t -> unit
 (** Remove the hooks and drop any queued faults.  Scheduled-but-unfired
     round callbacks become no-ops. *)
